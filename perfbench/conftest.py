@@ -1,0 +1,10 @@
+"""``python -m pytest perfbench`` from the repository root: import the
+program from ``src/``."""
+
+import os
+import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
